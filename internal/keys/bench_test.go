@@ -23,6 +23,24 @@ func TestKeyZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestKeyRunZeroAllocs pins the key-vector fill allocation-free, inside
+// and outside a refresh window: HyBP runs it on every conditional branch.
+func TestKeyRunZeroAllocs(t *testing.T) {
+	tab := NewTable(DefaultConfig(7))
+	dst := make([]uint64, 30)
+	i := uint64(0)
+	avg := testing.AllocsPerRun(8192, func() {
+		if i%1024 == 0 {
+			tab.Refresh(i)
+		}
+		tab.KeyRun(dst, i*64, i)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("KeyRun allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestRefreshZeroAllocs pins the refresh path allocation-free too: it runs
 // on every context switch, so per-refresh garbage would dominate
 // switch-heavy sweeps (Fig 7/8).

@@ -191,6 +191,23 @@ func (t *Table) Key(pc uint64, now uint64) uint64 {
 	return t.keys[i]
 }
 
+// KeyRun fills dst[i] with Key(pc+i<<1, now): the keys of len(dst)
+// consecutive PC groups starting at pc's. HyBP gives each tagged TAGE table
+// its own PC-group offset, so one run keys all tables of an access. The run
+// is a contiguous (wrapping) span of the code book, copied directly unless
+// a refresh is in flight at now.
+func (t *Table) KeyRun(dst []uint64, pc uint64, now uint64) {
+	if now < t.refreshEnd {
+		for i := range dst {
+			dst[i] = t.Key(pc+uint64(i)<<1, now)
+		}
+		return
+	}
+	for i := t.entryIndex(pc); len(dst) > 0; i = 0 {
+		dst = dst[copy(dst, t.keys[i:]):]
+	}
+}
+
 // KeyStale reports whether a Key lookup at cycle now would return a stale
 // (pre-refresh) key; the pipeline model uses it to attribute refresh-window
 // mispredictions.

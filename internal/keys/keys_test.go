@@ -87,6 +87,50 @@ func TestStaleWindowProgression(t *testing.T) {
 	}
 }
 
+// TestKeyRunMatchesKey checks the key-vector fill against per-entry Key
+// before a refresh, inside an in-flight refresh window (where a run mixes
+// stale and fresh entries), after it, and across the code-book wrap.
+func TestKeyRunMatchesKey(t *testing.T) {
+	tbl := NewTable(testConfig())
+	const start = 10_000
+	mixed := false
+	check := func(when string, now uint64) {
+		t.Helper()
+		// PC groups at the start, middle and end of the code book (the
+		// last ones wrap), with odd PCs and bits above the group index.
+		for _, pc := range []uint64{0, 11, 2 * 500, 2*(1024-29) + 1, 2 * 1023, 7<<40 | 2*1020} {
+			// Runs of one key, the thirty TAGE tables, a full book, and
+			// more than one lap of it.
+			for _, n := range []int{1, 30, 1024, 2100} {
+				dst := make([]uint64, n)
+				tbl.KeyRun(dst, pc, now)
+				stale := 0
+				for i, got := range dst {
+					p := pc + uint64(i)<<1
+					if want := tbl.Key(p, now); got != want {
+						t.Fatalf("%s: KeyRun(pc=%#x, n=%d)[%d] = %#x, Key = %#x", when, pc, n, i, got, want)
+					}
+					if tbl.KeyStale(p, now) {
+						stale++
+					}
+				}
+				mixed = mixed || (stale > 0 && stale < n)
+			}
+		}
+	}
+	check("before refresh", 500)
+	tbl.Refresh(start)
+	lat := uint64(tbl.RefreshLatency())
+	for _, now := range []uint64{start, start + 7, start + 8, start + 7 + 100, start + lat - 1} {
+		check("in refresh window", now)
+	}
+	if !mixed {
+		t.Fatal("no run mixed stale and fresh entries inside the refresh window")
+	}
+	check("refresh done", start+lat)
+	check("after refresh", start+lat+5000)
+}
+
 func TestContentKeyUpdatesImmediately(t *testing.T) {
 	tbl := NewTable(testConfig())
 	before := tbl.ContentKey()

@@ -41,7 +41,7 @@ type HyBP struct {
 
 	hist *histories
 
-	now uint64 // current cycle, visible to the key-function closures
+	now uint64 // current cycle, visible to the BTB key-function closure
 
 	base int // baseline storage for overhead accounting
 
@@ -60,7 +60,13 @@ type hybpContext struct {
 	base      *tage.Bimodal
 	stack     *ras.Stack
 	keys      *keys.Table
-	xform     tage.IndexTransform
+
+	// Key vectors for the shared tagged tables (tage.Tage.SetKeys): the
+	// per-table index keys are refilled from the code book on every
+	// conditional access; the tag keys derive from the content key alone,
+	// so they are recomputed only when the code-book epoch changes.
+	idxKeys, tagKeys []uint64
+	tagEpoch         uint64
 }
 
 // NewHyBP builds the mechanism.
@@ -102,14 +108,8 @@ func NewHyBP(cfg Config) *HyBP {
 				return idx, tag
 			},
 		)
-		// TAGE tagged tables: per-table index/tag randomization from the
-		// same code book (BTB and PHT share the random tables, Section
-		// VI-C); the per-table tweak decorrelates the thirty tables.
-		hc.xform = func(table int, pc, idx, tag uint64) (uint64, uint64) {
-			k := kt.Key(pc+uint64(table)<<1, h.now)
-			ck := kt.ContentKey() >> (uint(table) % 32)
-			return idx ^ k, tag ^ (ck & 0x7FF)
-		}
+		hc.idxKeys = make([]uint64, h.shared.NumTables())
+		hc.tagKeys = make([]uint64, h.shared.NumTables())
 		h.privPart[ctx.id()] = hc
 	}
 	h.base = newPredictorSet(g, cfg.Seed).storageBits()
@@ -144,7 +144,8 @@ func (h *HyBP) Access(ctx Context, br Branch, now uint64) Result {
 
 	if br.Kind == Cond {
 		h.shared.SetBase(hc.base)
-		h.shared.SetIndexTransform(hc.xform)
+		hc.tageKeys(br.PC, now)
+		h.shared.SetKeys(hc.idxKeys, hc.tagKeys)
 		res.DirPred = h.shared.Access(br.PC, br.Taken, h.hist.tage[ctx.Thread])
 		res.DirCorrect = res.DirPred == br.Taken
 	}
@@ -179,6 +180,23 @@ func (h *HyBP) Access(ctx Context, br Branch, now uint64) Result {
 		}
 	}
 	return res
+}
+
+// tageKeys fills the context's key vectors for a tagged-table access by pc
+// at cycle now. The TAGE tables draw their index and tag randomization from
+// the same code book and content key as the L2 BTB (BTB and PHT share the
+// random tables, Section VI-C): table ti uses the code-book key of PC group
+// pc+ti<<1 and the content key shifted by ti%32, which decorrelates the
+// thirty tables.
+func (hc *hybpContext) tageKeys(pc, now uint64) {
+	hc.keys.KeyRun(hc.idxKeys, pc, now)
+	if e := hc.keys.Epoch(); e != hc.tagEpoch {
+		ck := hc.keys.ContentKey()
+		for ti := range hc.tagKeys {
+			hc.tagKeys[ti] = (ck >> (uint(ti) % 32)) & 0x7FF
+		}
+		hc.tagEpoch = e
+	}
 }
 
 // OnContextSwitch implements BPU: the incoming software context gets fresh

@@ -34,21 +34,29 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessTransformed times predict+update with a HyBP-style
-// index/tag transform injected, covering the keyed hot path.
+// BenchmarkAccessTransformed times predict+update with HyBP-style key
+// vectors refilled before every access, covering the keyed hot path.
 func BenchmarkAccessTransformed(b *testing.B) {
 	t := New(DefaultConfig(1))
-	t.SetIndexTransform(func(table int, pc, idx, tag uint64) (uint64, uint64) {
-		k := (pc * 0x9E3779B97F4A7C15) >> uint(40+table%8)
-		return idx ^ k, tag ^ (k & 0x7FF)
-	})
+	idxKeys, tagKeys := make([]uint64, t.NumTables()), make([]uint64, t.NumTables())
+	t.SetKeys(idxKeys, tagKeys)
 	hs := t.NewHistory()
 	stream := makeStream(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := stream[i&4095]
+		fillBenchKeys(idxKeys, tagKeys, p.pc)
 		t.Access(p.pc, p.taken, hs)
+	}
+}
+
+// fillBenchKeys derives per-table keys from pc, standing in for a
+// mechanism's code-book lookup.
+func fillBenchKeys(idxKeys, tagKeys []uint64, pc uint64) {
+	for ti := range idxKeys {
+		k := (pc * 0x9E3779B97F4A7C15) >> uint(40+ti%8)
+		idxKeys[ti], tagKeys[ti] = k, k&0x7FF
 	}
 }
 
@@ -83,6 +91,31 @@ func TestAccessZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Tage.Access allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// TestAccessKeyedZeroAllocs is TestAccessZeroAllocs with key vectors
+// installed and refilled per access, the way HyBP drives the shared tables.
+func TestAccessKeyedZeroAllocs(t *testing.T) {
+	tg := New(DefaultConfig(1))
+	idxKeys, tagKeys := make([]uint64, tg.NumTables()), make([]uint64, tg.NumTables())
+	tg.SetKeys(idxKeys, tagKeys)
+	hs := tg.NewHistory()
+	stream := makeStream(4096)
+	for _, p := range stream {
+		fillBenchKeys(idxKeys, tagKeys, p.pc)
+		tg.Access(p.pc, p.taken, hs)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(4096, func() {
+		p := stream[i&4095]
+		i++
+		fillBenchKeys(idxKeys, tagKeys, p.pc)
+		tg.SetKeys(idxKeys, tagKeys)
+		tg.Access(p.pc, p.taken, hs)
+	})
+	if avg != 0 {
+		t.Fatalf("keyed Tage.Access allocates %.2f objects/op, want 0", avg)
 	}
 }
 

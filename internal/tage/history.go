@@ -10,11 +10,10 @@
 // 1K entries each, signed prediction counters and useful counters. A
 // statistical corrector and a loop predictor complete the SC-L part.
 //
-// Like the BTB substrate, the tagged tables accept an injected index/tag
-// transform so the secure mechanisms (internal/secure) can partition or
-// randomize them without forking predictor logic, and the base predictor is
-// a swappable component so HyBP can physically isolate it per (thread,
-// privilege) context.
+// The tagged tables accept per-table index and tag key vectors (Tage.SetKeys)
+// so the secure mechanisms (internal/secure) can randomize them without
+// forking predictor logic, and the base predictor is a swappable component
+// so HyBP can physically isolate it per (thread, privilege) context.
 package tage
 
 // HistoryBuffer is a circular global-history bit buffer. Bit 0 is the most

@@ -2,6 +2,7 @@ package tage
 
 import (
 	"math"
+	"math/bits"
 
 	"hybp/internal/rng"
 )
@@ -93,20 +94,21 @@ func SmallConfig(seed uint64) Config {
 	return Config{Tables: tables, BimodalEntries: 1024, UseSC: true, UseLoop: true, Seed: seed}
 }
 
-// IndexTransform remaps a tagged table's (index, tag) pair for the branch
-// at pc. The secure mechanisms inject partition offsets or per-context
-// keyed permutations here (keyed by PC group, as HyBP's randomized index
-// keys table is); the identity transform is the unprotected baseline.
-type IndexTransform func(table int, pc, index, tag uint64) (uint64, uint64)
-
-// tagEntry is one tagged-table entry. Ctr is the 3-bit signed prediction
-// counter (sign = direction), U the useful counter.
+// tagEntry is one tagged-table entry's counters: Ctr is the 3-bit signed
+// prediction counter (sign = direction), U the useful counter. The entry's
+// tag lives in a separate array (Tage.tags) so the probe reads only tags.
 type tagEntry struct {
-	tag   uint16
-	ctr   int8
-	u     uint8
-	valid bool
+	ctr int8
+	u   uint8
 }
+
+// validBit marks a stored tag as valid. Tags are at most 15 bits wide, so a
+// zeroed (flushed) slot never equals a probe's tag|validBit.
+const validBit = 1 << 15
+
+// maxTables bounds the tagged-table count: the probe records hits in one
+// uint64 bitmask.
+const maxTables = 64
 
 // Stats counts predictor activity.
 type Stats struct {
@@ -122,17 +124,28 @@ type Stats struct {
 
 // Tage is a TAGE-SC-L direction predictor.
 //
-// The tagged tables are shared structures (subject to the injected
-// IndexTransform); the bimodal base is a swappable component so mechanisms
-// can physically isolate it per context; per-thread speculation history
-// lives in History values created by NewHistory.
+// The tagged tables are shared structures (remapped by the key vectors
+// installed with SetKeys); the bimodal base is a swappable component so
+// mechanisms can physically isolate it per context; per-thread speculation
+// history lives in History values created by NewHistory.
 type Tage struct {
 	cfg      Config
-	tables   [][]tagEntry
+	tags     [][]uint16   // per table: stored tag | validBit, 0 when empty
+	ents     [][]tagEntry // per table: counters, parallel to tags
 	masks    []uint64
 	tagMasks []uint64 // 1<<TagBits - 1 per table, hoisted off the lookup path
 	base     *Bimodal
-	xform    IndexTransform
+
+	// idxKeys and tagKeys are the per-table keys XORed into every tagged
+	// access; they alias noKeys when no vector is installed.
+	idxKeys, tagKeys []uint64
+	noKeys           [maxTables]uint64
+
+	// pidx and ptag hold each table's effective (index, tag|validBit) for
+	// the access in flight, computed once by probe and reused by train and
+	// allocate.
+	pidx [maxTables]uint64
+	ptag [maxTables]uint16
 
 	useAltOnNA int8 // 4-bit counter choosing alt prediction for fresh entries
 	tick       uint64
@@ -146,22 +159,41 @@ type Tage struct {
 
 // New builds a Tage from cfg.
 func New(cfg Config) *Tage {
-	if len(cfg.Tables) == 0 {
+	n := len(cfg.Tables)
+	if n == 0 {
 		panic("tage: config needs at least one tagged table")
+	}
+	if n > maxTables {
+		panic("tage: config has more than 64 tagged tables")
 	}
 	t := &Tage{
 		cfg:      cfg,
-		tables:   make([][]tagEntry, len(cfg.Tables)),
-		masks:    make([]uint64, len(cfg.Tables)),
-		tagMasks: make([]uint64, len(cfg.Tables)),
+		tags:     make([][]uint16, n),
+		ents:     make([][]tagEntry, n),
+		masks:    make([]uint64, n),
+		tagMasks: make([]uint64, n),
 		base:     NewBimodal(cfg.BimodalEntries),
 		rand:     rng.New(cfg.Seed ^ 0x7a6e),
 	}
-	for i, spec := range cfg.Tables {
+	t.SetKeys(nil, nil)
+	total := 0
+	for _, spec := range cfg.Tables {
 		if spec.Entries <= 0 || spec.Entries&(spec.Entries-1) != 0 {
 			panic("tage: table entries must be a positive power of two")
 		}
-		t.tables[i] = make([]tagEntry, spec.Entries)
+		if spec.TagBits > 15 {
+			panic("tage: TagBits above 15 leave no room for the valid bit")
+		}
+		total += spec.Entries
+	}
+	tags := make([]uint16, total)
+	ents := make([]tagEntry, total)
+	off := 0
+	for i, spec := range cfg.Tables {
+		end := off + spec.Entries
+		t.tags[i] = tags[off:end:end]
+		t.ents[i] = ents[off:end:end]
+		off = end
 		t.masks[i] = uint64(spec.Entries - 1)
 		t.tagMasks[i] = 1<<uint(spec.TagBits) - 1
 	}
@@ -201,9 +233,23 @@ func bitsFor(n int) int {
 	return b
 }
 
-// SetIndexTransform injects xf into tagged-table accesses (nil restores the
-// identity mapping).
-func (t *Tage) SetIndexTransform(xf IndexTransform) { t.xform = xf }
+// SetKeys installs the key vectors XORed into every tagged-table access:
+// table ti's index is remapped by index[ti] and its tag by tag[ti]. The
+// secure mechanisms supply per-context keys here (HyBP's code-book keys
+// for the branch's PC group and its content-key tag bits); nil means the
+// identity mapping. A non-nil vector needs at least NumTables entries.
+// The predictor reads the vectors on every access without copying them,
+// so the caller may refill them in place between accesses.
+func (t *Tage) SetKeys(index, tag []uint64) {
+	n := len(t.tags)
+	if index == nil {
+		index = t.noKeys[:n]
+	}
+	if tag == nil {
+		tag = t.noKeys[:n]
+	}
+	t.idxKeys, t.tagKeys = index[:n], tag[:n]
+}
 
 // SetBase swaps the bimodal base predictor (HyBP's per-context physical
 // isolation); it returns the previous base.
@@ -222,91 +268,99 @@ func (t *Tage) Stats() Stats { return t.stats }
 // ResetStats zeroes statistics.
 func (t *Tage) ResetStats() { t.stats = Stats{} }
 
-// index computes the effective (index, tag) of pc in tagged table ti under
-// history hs, applying the injected transform.
-func (t *Tage) index(ti int, pc uint64, hs *History) (uint64, uint64) {
-	f := &hs.folds[ti]
-	idx := (pc >> 1) ^ (pc >> uint(1+ti)) ^ f.idxComp() ^ (hs.path & 0x3F)
-	idx &= t.masks[ti]
-	tag := ((pc >> 1) ^ f.tag0Comp() ^ (f.tag1Comp() << 1)) &
-		t.tagMasks[ti]
-	if t.xform != nil {
-		idx, tag = t.xform(ti, pc, idx, tag)
-		idx &= t.masks[ti]
-		tag &= t.tagMasks[ti]
+// probe computes every tagged table's effective (index, tag) for pc under
+// history hs into pidx/ptag and returns the hit bitmask: bit ti is set when
+// table ti holds a valid entry with that tag. It is one pass with no
+// data-dependent exit; the tag compare feeds the mask arithmetically.
+func (t *Tage) probe(pc uint64, hs *History) uint64 {
+	n := len(t.tags)
+	folds := hs.folds[:n]
+	tags, masks, tagMasks := t.tags[:n], t.masks[:n], t.tagMasks[:n]
+	ik, tk := t.idxKeys[:n], t.tagKeys[:n]
+	pidx, ptag := t.pidx[:n], t.ptag[:n]
+	pcIdx := (pc >> 1) ^ (hs.path & 0x3F)
+	var hits uint64
+	for ti := range folds {
+		f := &folds[ti]
+		idx := (pcIdx ^ (pc >> uint(1+ti)) ^ f.idxComp() ^ ik[ti]) & masks[ti]
+		tag := uint16(((pc>>1)^f.tag0Comp()^(f.tag1Comp()<<1)^tk[ti])&tagMasks[ti]) | validBit
+		pidx[ti] = idx
+		ptag[ti] = tag
+		// miss is 0 exactly on a hit, so miss-1 has its top bit set then.
+		miss := uint64(tags[ti][idx] ^ tag)
+		hits |= (miss - 1) >> 63 << uint(ti)
 	}
-	return idx, tag
+	return hits
 }
 
-// lookup finds the provider (longest matching table) and the alternate
-// prediction.
+// entry returns table ti's counters at the in-flight access's index.
+func (t *Tage) entry(ti int) *tagEntry { return &t.ents[ti][t.pidx[ti]] }
+
+// lookupResult is the tagged lookup: the provider (longest matching table)
+// and the alternate prediction.
 type lookupResult struct {
 	provider    int // table index, -1 if none
-	providerIdx uint64
 	altPred     bool
 	altFromBase bool
 	providerNew bool // provider entry looks newly allocated
 	tagePred    bool
-	baseIdx     uint64
 }
 
 func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
-	res := lookupResult{provider: -1}
-	altSet := false
-	for ti := len(t.tables) - 1; ti >= 0; ti-- {
-		idx, tag := t.index(ti, pc, hs)
-		e := &t.tables[ti][idx]
-		if e.valid && e.tag == uint16(tag) {
-			if res.provider == -1 {
-				res.provider = ti
-				res.providerIdx = idx
-				res.providerNew = e.u == 0 && (e.ctr == 0 || e.ctr == -1)
-			} else if !altSet {
-				res.altPred = e.ctr >= 0
-				altSet = true
-			}
-		}
-		if res.provider != -1 && altSet {
-			break
-		}
+	hits := t.probe(pc, hs)
+	res := lookupResult{provider: bits.Len64(hits) - 1}
+	if res.provider >= 0 {
+		e := t.entry(res.provider)
+		res.providerNew = e.u == 0 && weakCtr(e.ctr)
+		hits &^= 1 << uint(res.provider)
 	}
-	if !altSet {
+	if hits != 0 {
+		res.altPred = t.entry(bits.Len64(hits)-1).ctr >= 0
+	} else {
 		res.altPred = t.base.Predict(pc)
 		res.altFromBase = true
 	}
-	if res.provider >= 0 {
-		e := &t.tables[res.provider][res.providerIdx]
-		pred := e.ctr >= 0
-		if res.providerNew && t.useAltOnNA >= 0 {
-			pred = res.altPred
-		}
-		res.tagePred = pred
-	} else {
-		res.tagePred = res.altPred
+	res.tagePred = res.altPred
+	if res.provider >= 0 && !(res.providerNew && t.useAltOnNA >= 0) {
+		res.tagePred = t.entry(res.provider).ctr >= 0
 	}
 	return res
 }
 
-// Predict returns the final TAGE-SC-L prediction for pc without updating
-// any state. Attack harnesses use it to probe; the simulation fast path is
-// Access.
-func (t *Tage) Predict(pc uint64, hs *History) bool {
-	res := t.lookup(pc, hs)
-	pred := res.tagePred
+// prediction is the final TAGE-SC-L prediction of one access plus what
+// training needs to know about how it was formed.
+type prediction struct {
+	lookupResult
+	pred    bool
+	loopHit bool // a confident loop entry supplied pred; SC was skipped
+	scUsed  bool // SC was consulted and confident; pred is its vote
+}
+
+// predict forms the final prediction without training: a confident loop
+// entry overrides TAGE, and otherwise the statistical corrector may
+// override a weak provider counter.
+func (t *Tage) predict(pc uint64, hs *History) prediction {
+	p := prediction{lookupResult: t.lookup(pc, hs)}
+	p.pred = p.tagePred
 	if t.loop != nil {
 		if lp, ok, conf := t.loop.predict(pc); ok && conf {
-			pred = lp
+			p.pred, p.loopHit = lp, true
+			return p
 		}
 	}
-	if t.sc != nil && res.provider >= 0 {
-		e := &t.tables[res.provider][res.providerIdx]
-		if weakCtr(e.ctr) {
-			if scPred, use := t.sc.predict(pc, hs, pred); use {
-				pred = scPred
-			}
+	if t.sc != nil && p.provider >= 0 && weakCtr(t.entry(p.provider).ctr) {
+		if sp, use := t.sc.predict(pc, hs, p.tagePred); use {
+			p.pred, p.scUsed = sp, true
 		}
 	}
-	return pred
+	return p
+}
+
+// Predict returns the final TAGE-SC-L prediction for pc without updating
+// any state; it equals what Access would return for the same branch.
+// Attack harnesses use it to probe; the simulation fast path is Access.
+func (t *Tage) Predict(pc uint64, hs *History) bool {
+	return t.predict(pc, hs).pred
 }
 
 // Access predicts pc, then trains the predictor with the actual outcome,
@@ -314,61 +368,40 @@ func (t *Tage) Predict(pc uint64, hs *History) bool {
 // uses (prediction and resolution are adjacent in a serial simulation).
 func (t *Tage) Access(pc uint64, taken bool, hs *History) bool {
 	t.stats.Predictions++
-	res := t.lookup(pc, hs)
-	pred := res.tagePred
-	finalIsLoop := false
-
-	if t.loop != nil {
-		if lp, ok, conf := t.loop.predict(pc); ok && conf {
-			pred = lp
-			finalIsLoop = true
-			t.stats.LoopHits++
-		}
+	p := t.predict(pc, hs)
+	if p.loopHit {
+		t.stats.LoopHits++
 	}
-
-	scUsed := false
-	scPred := pred
-	if t.sc != nil && res.provider >= 0 && !finalIsLoop {
-		e := &t.tables[res.provider][res.providerIdx]
-		if weakCtr(e.ctr) {
-			if sp, use := t.sc.predict(pc, hs, res.tagePred); use {
-				scPred = sp
-				scUsed = true
-				if sp != pred {
-					t.stats.SCFlips++
-					pred = sp
-				}
-			}
-		}
+	if p.scUsed && p.pred != p.tagePred {
+		t.stats.SCFlips++
 	}
-
-	if res.provider >= 0 {
+	if p.provider >= 0 {
 		t.stats.ProviderHits++
 	} else {
 		t.stats.BaseHits++
 	}
-	if pred != taken {
+	if p.pred != taken {
 		t.stats.Mispredictions++
 	}
 
-	t.train(pc, taken, hs, res, scUsed, scPred)
+	t.train(pc, taken, hs, p)
 	hs.Update(pc, taken)
-	return pred
+	return p.pred
 }
 
 func weakCtr(c int8) bool { return c == 0 || c == -1 }
 
 // train applies the TAGE update rules.
-func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUsed bool, scPred bool) {
+func (t *Tage) train(pc uint64, taken bool, hs *History, res prediction) {
 	if t.loop != nil {
 		t.loop.update(pc, taken, res.tagePred)
 	}
-	if t.sc != nil && scUsed {
-		t.sc.update(pc, hs, taken, scPred)
+	if t.sc != nil && res.scUsed {
+		t.sc.update(pc, hs, taken, res.pred)
 	}
 
 	if res.provider >= 0 {
-		e := &t.tables[res.provider][res.providerIdx]
+		e := t.entry(res.provider)
 		provPred := e.ctr >= 0
 
 		// useAltOnNA bookkeeping: learn whether fresh entries beat the
@@ -405,12 +438,12 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 		}
 
 		if res.tagePred != taken {
-			t.allocate(pc, taken, hs, res.provider)
+			t.allocate(taken, res.provider)
 		}
 	} else {
 		t.base.Update(pc, taken)
 		if res.tagePred != taken {
-			t.allocate(pc, taken, hs, -1)
+			t.allocate(taken, -1)
 		}
 	}
 
@@ -423,23 +456,22 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 // allocate tries to claim an entry in a table with longer history than the
 // provider, per the TAGE allocation rule: pick among u==0 candidates
 // (randomized start to avoid ping-pong), and on total failure decay the
-// candidates' useful counters.
-func (t *Tage) allocate(pc uint64, taken bool, hs *History, provider int) {
+// candidates' useful counters. Candidates are the in-flight access's
+// (index, tag) pairs recorded by probe.
+func (t *Tage) allocate(taken bool, provider int) {
 	start := provider + 1
-	if start >= len(t.tables) {
+	if start >= len(t.tags) {
 		return
 	}
 	// Random skip of up to 2 tables decorrelates allocation storms.
 	start += t.rand.Intn(3)
-	if start >= len(t.tables) {
-		start = len(t.tables) - 1
+	if start >= len(t.tags) {
+		start = len(t.tags) - 1
 	}
-	for ti := start; ti < len(t.tables); ti++ {
-		idx, tag := t.index(ti, pc, hs)
-		e := &t.tables[ti][idx]
+	for ti := start; ti < len(t.tags); ti++ {
+		e := t.entry(ti)
 		if e.u == 0 {
-			e.tag = uint16(tag)
-			e.valid = true
+			t.tags[ti][t.pidx[ti]] = t.ptag[ti]
 			if taken {
 				e.ctr = 0
 			} else {
@@ -449,10 +481,8 @@ func (t *Tage) allocate(pc uint64, taken bool, hs *History, provider int) {
 			return
 		}
 	}
-	for ti := provider + 1; ti < len(t.tables); ti++ {
-		idx, _ := t.index(ti, pc, hs)
-		e := &t.tables[ti][idx]
-		if e.u > 0 {
+	for ti := provider + 1; ti < len(t.tags); ti++ {
+		if e := t.entry(ti); e.u > 0 {
 			e.u--
 		}
 	}
@@ -463,9 +493,9 @@ func (t *Tage) allocate(pc uint64, taken bool, hs *History, provider int) {
 // be reclaimed (the paper's predictor uses periodic u reset; graceful
 // halving behaves equivalently at our simulation scales).
 func (t *Tage) ageUseful() {
-	for ti := range t.tables {
-		for i := range t.tables[ti] {
-			t.tables[ti][i].u >>= 1
+	for _, es := range t.ents {
+		for i := range es {
+			es[i].u >>= 1
 		}
 	}
 }
@@ -487,10 +517,9 @@ func satUpdate(c int8, taken bool) int8 {
 // base predictor; HyBP's key change makes tagged state unreachable while
 // the physically isolated base is swapped separately.
 func (t *Tage) FlushTagged() {
-	for ti := range t.tables {
-		for i := range t.tables[ti] {
-			t.tables[ti][i] = tagEntry{}
-		}
+	for ti := range t.tags {
+		clear(t.tags[ti])
+		clear(t.ents[ti])
 	}
 	if t.sc != nil {
 		t.sc.flush()
@@ -525,7 +554,7 @@ func (t *Tage) StorageBits() int {
 }
 
 // NumTables returns the number of tagged tables.
-func (t *Tage) NumTables() int { return len(t.tables) }
+func (t *Tage) NumTables() int { return len(t.tags) }
 
 // TableSpecs returns the tagged-table geometry.
 func (t *Tage) TableSpecs() []TableSpec { return t.cfg.Tables }

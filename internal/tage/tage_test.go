@@ -135,6 +135,28 @@ func TestBimodalValidation(t *testing.T) {
 	NewBimodal(100)
 }
 
+func TestNewValidation(t *testing.T) {
+	tooMany := SmallConfig(1)
+	for len(tooMany.Tables) <= maxTables {
+		tooMany.Tables = append(tooMany.Tables, tooMany.Tables[0])
+	}
+	wideTag := SmallConfig(1)
+	wideTag.Tables[2].TagBits = 16
+	for name, cfg := range map[string]Config{"65 tables": tooMany, "16-bit tag": wideTag} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New with %s did not panic", name)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	widest := SmallConfig(1)
+	widest.Tables[0].TagBits = 15
+	New(widest) // the widest tag that leaves room for the valid bit
+}
+
 // runPattern feeds branches to a predictor and returns its accuracy over
 // the final measurement window.
 func runPattern(t *Tage, hs *History, gen func(i int) (pc uint64, taken bool), warm, measure int) float64 {
@@ -291,14 +313,14 @@ func TestSetBaseSwap(t *testing.T) {
 }
 
 func TestIndexTransformChangesMapping(t *testing.T) {
-	// With a transform installed, a trained branch's tagged entries become
+	// With key vectors installed, a trained branch's tagged entries become
 	// unreachable — the randomization property HyBP uses on the PHT.
 	p := New(SmallConfig(10))
 	hs := p.NewHistory()
 	pattern := []bool{true, true, false, true, false, false, true}
 	acc := runPattern(p, hs, func(i int) (uint64, bool) { return 0xC000, pattern[i%len(pattern)] }, 3000, 2000)
 	if acc < 0.9 {
-		t.Skipf("pattern not learned (acc=%v); cannot test transform", acc)
+		t.Skipf("pattern not learned (acc=%v); cannot test key change", acc)
 	}
 	// At steady state, tagged providers serve the history-dependent
 	// contexts of the pattern.
@@ -312,18 +334,21 @@ func TestIndexTransformChangesMapping(t *testing.T) {
 	// Immediately after a key change, every previously trained tagged
 	// entry must be unreachable: the first pass over the pattern's
 	// contexts sees zero provider hits (the logical-isolation property).
-	p.SetIndexTransform(func(table int, pc, idx, tag uint64) (uint64, uint64) {
-		return idx ^ 0x55, tag ^ 0x2AA
-	})
+	idxKeys := make([]uint64, p.NumTables())
+	tagKeys := make([]uint64, p.NumTables())
+	for ti := range idxKeys {
+		idxKeys[ti], tagKeys[ti] = 0x55, 0x2AA
+	}
+	p.SetKeys(idxKeys, tagKeys)
 	p.ResetStats()
 	for i := 0; i < len(pattern); i++ {
 		p.Access(0xC000, pattern[i%len(pattern)], hs)
 	}
 	if got := p.Stats().ProviderHits; got != 0 {
-		t.Fatalf("provider hits right after transform change = %d, want 0", got)
+		t.Fatalf("provider hits right after key change = %d, want 0", got)
 	}
 	if p.Stats().Allocations == 0 {
-		t.Fatal("no reallocation after transform change; predictor not relearning")
+		t.Fatal("no reallocation after key change; predictor not relearning")
 	}
 }
 
