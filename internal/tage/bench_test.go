@@ -71,6 +71,37 @@ func BenchmarkHistoryUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkHistoryReset times clearing a thread's history, which context
+// switches and flushes pay.
+func BenchmarkHistoryReset(b *testing.B) {
+	t := New(DefaultConfig(1))
+	hs := t.NewHistory()
+	for i := 0; i < 4096; i++ {
+		hs.Update(uint64(i)*64, i&3 == 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hs.Reset()
+	}
+}
+
+// TestHistoryZeroAllocs pins History.Update and History.Reset
+// allocation-free on the paper geometry.
+func TestHistoryZeroAllocs(t *testing.T) {
+	hs := New(DefaultConfig(1)).NewHistory()
+	i := 0
+	if avg := testing.AllocsPerRun(4096, func() {
+		i++
+		hs.Update(uint64(i)*64, i&3 == 0)
+	}); avg != 0 {
+		t.Fatalf("History.Update allocates %.2f objects/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(256, hs.Reset); avg != 0 {
+		t.Fatalf("History.Reset allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestAccessZeroAllocs pins the hot path allocation-free: one TAGE
 // predict+update must not allocate, so future changes cannot silently
 // reintroduce per-lookup garbage.

@@ -17,116 +17,75 @@
 package tage
 
 // HistoryBuffer is a circular global-history bit buffer. Bit 0 is the most
-// recent outcome.
+// recent outcome. The ring is bit-packed into 64-bit words and holds a
+// power-of-two number of bits, so a position wraps with one AND instead of
+// a compare: Bit has no branch, and a word shift count (position & 63) needs
+// no range guard.
 type HistoryBuffer struct {
-	bits []byte
-	pos  int // index of the most recent bit
-	size int
+	words []uint64
+	mask  uint // capacity in bits − 1
+	pos   uint // ring position of the most recent bit
 }
 
-// NewHistoryBuffer returns a buffer holding size bits, all zero.
+// NewHistoryBuffer returns a buffer holding at least size bits, all zero.
+// The capacity is size rounded up to a power of two, and at least 64.
 func NewHistoryBuffer(size int) *HistoryBuffer {
-	return &HistoryBuffer{bits: make([]byte, size), size: size}
+	h := newHistoryBuffer(size)
+	return &h
+}
+
+func newHistoryBuffer(size int) HistoryBuffer {
+	n := 64
+	for n < size {
+		n <<= 1
+	}
+	return HistoryBuffer{words: make([]uint64, n/64), mask: uint(n - 1)}
 }
 
 // Push records a new most-recent bit.
 func (h *HistoryBuffer) Push(taken bool) {
-	h.pos--
-	if h.pos < 0 {
-		h.pos = h.size - 1
-	}
+	h.pos = (h.pos - 1) & h.mask
+	var b uint64
 	if taken {
-		h.bits[h.pos] = 1
-	} else {
-		h.bits[h.pos] = 0
+		b = 1
 	}
+	s := h.pos & 63
+	w := &h.words[h.pos>>6]
+	*w = *w&^(1<<s) | b<<s
 }
 
 // Bit returns the i-th most recent bit (0 = newest). i must be in
-// [0, Size()); every folded window is shorter than the buffer, so the
-// wrap never needs a full modulo (which would cost a divide on the
-// hottest path of the whole simulator).
+// [0, Size()).
 func (h *HistoryBuffer) Bit(i int) byte {
-	j := h.pos + i
-	if j >= h.size {
-		j -= h.size
-	}
-	return h.bits[j]
+	j := (h.pos + uint(i)) & h.mask
+	return byte(h.words[j>>6] >> (j & 63) & 1)
 }
 
 // Size returns the buffer capacity in bits.
-func (h *HistoryBuffer) Size() int { return h.size }
+func (h *HistoryBuffer) Size() int { return int(h.mask + 1) }
 
 // Reset zeroes the history.
 func (h *HistoryBuffer) Reset() {
-	for i := range h.bits {
-		h.bits[i] = 0
-	}
+	clear(h.words)
 	h.pos = 0
 }
 
-// foldedHistory incrementally maintains history of length origLen folded
-// (by XOR) into compLen bits, the standard TAGE implementation trick that
-// keeps per-prediction work O(1) instead of O(history length). The fields
-// are deliberately narrow (8 bytes total): a 30-table geometry walks 90 of
-// these per branch, so they must stay resident in L1.
-type foldedHistory struct {
-	comp     uint32
-	origLen  uint16 // ≤ 640 at the paper's geometry
-	compLen  uint8  // ≤ 11 (index or tag width)
-	outPoint uint8  // < compLen
-}
-
-func newFolded(origLen, compLen int) foldedHistory {
-	return foldedHistory{
-		compLen:  uint8(compLen),
-		origLen:  uint16(origLen),
-		outPoint: uint8(origLen % compLen),
-	}
-}
-
-// shift folds in the newest history bit and folds out oldBit, the bit that
-// just fell off the end of this fold's original window. The caller reads
-// both bits from the history buffer once and feeds every fold that shares
-// the window length.
-func (f *foldedHistory) shift(newBit, oldBit uint32) {
-	f.comp = (f.comp << 1) | newBit
-	f.comp ^= oldBit << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= (1 << f.compLen) - 1
-}
-
-// update folds in the newest bit and folds out the bit that just fell off
-// the end of the original history window. It must be called after
-// HistoryBuffer.Push with the same buffer.
-func (f *foldedHistory) update(h *HistoryBuffer) {
-	f.shift(uint32(h.Bit(0)), uint32(h.Bit(int(f.origLen))))
-}
-
-// reset recomputes the fold from scratch over the buffer; used when history
-// is cleared wholesale.
-func (f *foldedHistory) reset(h *HistoryBuffer) {
-	f.comp = 0
-	for i := int(f.origLen) - 1; i >= 0; i-- {
-		f.comp = (f.comp << 1) | uint32(h.Bit(i))
-		f.comp = (f.comp ^ (f.comp >> f.compLen)) & (1<<f.compLen - 1)
-	}
-	// The incremental update and this recomputation agree on the all-zero
-	// history, which is the only state reset is used with.
-}
-
-// foldSet packs one tagged table's three folds (index width, tag width,
-// tag width − 1) into three 24-bit lanes of a single uint64, so the
-// per-branch fold maintenance — the hottest loop in the simulator — costs
-// one load, one store, and lane-parallel shift/XOR math per table instead
-// of three separate read-modify-writes. The lane arithmetic is exactly
-// foldedHistory.shift per lane (TestFoldSetMatchesFoldedHistory pins the
-// equivalence): all folds share a compLen ≤ 11, so a lane value never
-// exceeds 12 bits after the shift-in and the 24-bit lane spacing keeps the
-// per-lane fold shifts from contaminating a neighbor below its comp mask.
+// foldSet keeps one tagged table's three folded histories: its global
+// history window of origLen bits folded (by XOR) into the index width, the
+// tag width and the tag width − 1, the standard TAGE trick that keeps
+// per-prediction work O(1) instead of O(history length). The three folds
+// sit in three 24-bit lanes of a single uint64, so the per-branch fold
+// maintenance — the hottest loop in the simulator — costs one load, one
+// store and lane-parallel shift/XOR math per table. Each lane evolves
+// exactly like an independent fold register (the reference foldedHistory
+// in the tests; TestFoldSetMatchesFoldedHistory and
+// TestHistoryMatchesReference pin the equivalence). A lane holds at most
+// compLen+1 ≤ 24 bits after the shift-in (New bounds the index width at 23
+// and the tag width at 15), so the 24-bit spacing keeps every lane's
+// overflow bit inside its own lane.
 type foldSet struct {
 	packed   uint64 // lanes at bits 0 (index), 24 (tag), 48 (tag-1)
-	outMask  uint64 // oldBit injection point (1<<outPoint) per lane
+	outMask  uint64 // oldBit injection point (1<<(origLen%compLen)) per lane
 	compMask uint64 // (1<<compLen)-1 per lane
 	origLen  uint16 // shared original history window length
 	cIdx     uint8  // compLen of the index lane
@@ -141,54 +100,39 @@ const (
 )
 
 func newFoldSet(origLen, idxBits, tagBits int) foldSet {
-	i := newFolded(origLen, idxBits)
-	t0 := newFolded(origLen, tagBits)
-	t1 := newFolded(origLen, tagBits-1)
-	return foldSet{
+	f := foldSet{
 		origLen: uint16(origLen),
-		cIdx:    i.compLen, cTag0: t0.compLen, cTag1: t1.compLen,
-		outMask: 1<<i.outPoint |
-			1<<(foldLaneBits+uint(t0.outPoint)) |
-			1<<(2*foldLaneBits+uint(t1.outPoint)),
-		compMask: (uint64(1)<<i.compLen - 1) |
-			(uint64(1)<<t0.compLen-1)<<foldLaneBits |
-			(uint64(1)<<t1.compLen-1)<<(2*foldLaneBits),
+		cIdx:    uint8(idxBits), cTag0: uint8(tagBits), cTag1: uint8(tagBits - 1),
 	}
+	for i, compLen := range [3]int{idxBits, tagBits, tagBits - 1} {
+		lane := uint(foldLaneBits * i)
+		f.outMask |= 1 << (uint(origLen%compLen) + lane)
+		f.compMask |= (1<<uint(compLen) - 1) << lane
+	}
+	return f
 }
 
 // shift folds the newest bit in and oldBit out of all three lanes at once.
-// Per lane this is exactly foldedHistory.shift: shift-in, XOR the outgoing
-// bit at outPoint, fold the overflow bit (comp >> compLen, which is a
-// single bit because a lane holds ≤ compLen+1 bits here) back into the
-// LSB, then mask to compLen. Cross-lane garbage from the per-lane fold
-// shifts lands above each comp mask and is cleared by the final AND.
-func (f *foldSet) shift(newBit, oldBit uint64) {
-	p := f.packed<<1 | newBit*foldLaneLSB
-	p ^= (-oldBit) & f.outMask
-	p ^= (p >> f.cIdx) & 1
-	p ^= (p >> f.cTag0) & (1 << foldLaneBits)
-	p ^= (p >> f.cTag1) & (1 << (2 * foldLaneBits))
+// newBits is the newest bit already spread to every lane's LSB
+// (newBit*foldLaneLSB). Per lane: shift in, XOR the outgoing bit at
+// origLen%compLen, fold the overflow bit (bit compLen, the only bit above
+// the comp mask) back into the LSB, and mask to compLen. The three overflow
+// folds are one XOR: each reads a bit (cIdx, 24+cTag0, 48+cTag1) that the
+// other two never write (0, 24, 48), so folding them together equals
+// folding them one after another. The &63 on each count is free and lets the compiler
+// drop the count ≥ 64 guard on the variable shifts.
+func (f *foldSet) shift(newBits, oldBit uint64) {
+	p := f.packed<<1 | newBits
+	p ^= -oldBit & f.outMask
+	p ^= p>>(f.cIdx&63)&1 |
+		p>>(f.cTag0&63)&(1<<foldLaneBits) |
+		p>>(f.cTag1&63)&(1<<(2*foldLaneBits))
 	f.packed = p & f.compMask
 }
 
-// reset recomputes all three lanes from the buffer via the reference fold.
-func (f *foldSet) reset(h *HistoryBuffer) {
-	lanes := [3]foldedHistory{
-		newFolded(int(f.origLen), int(f.cIdx)),
-		newFolded(int(f.origLen), int(f.cTag0)),
-		newFolded(int(f.origLen), int(f.cTag1)),
-	}
-	f.packed = 0
-	for i := range lanes {
-		lanes[i].reset(h)
-		f.packed |= uint64(lanes[i].comp) << (foldLaneBits * uint(i))
-	}
-}
-
-// Lane accessors for index computation.
-func (f *foldSet) idxComp() uint64  { return f.packed & (1<<foldLaneBits - 1) }
-func (f *foldSet) tag0Comp() uint64 { return f.packed >> foldLaneBits & (1<<foldLaneBits - 1) }
-func (f *foldSet) tag1Comp() uint64 { return f.packed >> (2 * foldLaneBits) }
+// idxComp returns the index lane. (The probe reads all three lanes
+// straight from packed, letting its index and tag masks cut the others.)
+func (f *foldSet) idxComp() uint64 { return f.packed & (1<<foldLaneBits - 1) }
 
 // History is the per-hardware-thread speculation history consumed by a Tage
 // instance: the global history register, a path history, and the folded
@@ -196,19 +140,38 @@ func (f *foldSet) tag1Comp() uint64 { return f.packed >> (2 * foldLaneBits) }
 // prediction tables themselves are shared (or partitioned) per the active
 // defense mechanism.
 type History struct {
-	ghr   *HistoryBuffer
+	ghr   HistoryBuffer
 	path  uint64
 	folds []foldSet // per tagged table: index/tag/tag-1 folds, lane-packed
 }
 
+// newHistory returns an all-zero history for the tagged-table geometry
+// tables. The ring holds more bits than the longest window, so every
+// table's outgoing bit is still in it.
+func newHistory(tables []TableSpec) *History {
+	maxLen := 0
+	for _, s := range tables {
+		maxLen = max(maxLen, s.HistLen)
+	}
+	hs := &History{
+		ghr:   newHistoryBuffer(maxLen + 1),
+		folds: make([]foldSet, len(tables)),
+	}
+	for i, s := range tables {
+		hs.folds[i] = newFoldSet(s.HistLen, bitsFor(s.Entries), s.TagBits)
+	}
+	return hs
+}
+
 // Update pushes a resolved branch outcome into the history.
 //
-// The newest bit is the outcome just pushed, shared by every fold; the
-// outgoing bit depends only on the window length, which the three lanes of
-// a table's foldSet share — so each table costs one buffer read and one
-// lane-parallel shift. This loop is the hottest in the simulator (the
-// folds are two thirds of TAGE time); keep it free of bounds checks and
-// divisions.
+// The newest bit is the outcome just pushed, shared by every fold and
+// spread across the three lanes once; the outgoing bit depends only on the
+// window length, which a table's three lanes share. So each table costs one
+// masked ring read and one lane-parallel shift, with the ring's words,
+// position and mask held in registers across the loop. This loop is the
+// hottest in the simulator; keep it free of compares, divisions and shift
+// guards.
 func (hs *History) Update(pc uint64, taken bool) {
 	hs.ghr.Push(taken)
 	hs.path = (hs.path << 1) | ((pc >> 2) & 1)
@@ -216,19 +179,24 @@ func (hs *History) Update(pc uint64, taken bool) {
 	if taken {
 		newBit = 1
 	}
+	newBits := newBit * foldLaneLSB
+	words, pos, mask := hs.ghr.words, hs.ghr.pos, hs.ghr.mask
 	folds := hs.folds
 	for i := range folds {
-		oldBit := uint64(hs.ghr.Bit(int(folds[i].origLen)))
-		folds[i].shift(newBit, oldBit)
+		f := &folds[i]
+		j := (pos + uint(f.origLen)) & mask
+		f.shift(newBits, words[j>>6]>>(j&63)&1)
 	}
 }
 
 // Reset clears all history state (used when a software context is swapped
-// in with no retained predictor state).
+// in with no retained predictor state). The fold of an all-zero window is
+// zero, so the lanes are cleared directly: O(tables), not O(history bits).
 func (hs *History) Reset() {
 	hs.ghr.Reset()
 	hs.path = 0
-	for i := range hs.folds {
-		hs.folds[i].reset(hs.ghr)
+	folds := hs.folds
+	for i := range folds {
+		folds[i].packed = 0
 	}
 }

@@ -259,14 +259,16 @@ func (r *refTage) FlushTagged() {
 	}
 }
 
-// diffEntry compares table ti, slot i of the two predictors.
+// diffEntry compares table ti, slot i of the two predictors; i is the slot
+// within the table, not within the shared slab.
 func diffEntry(t *Tage, r *refTage, ti int, i uint64) error {
 	re := r.tables[ti][i]
 	want := uint16(0)
 	if re.valid {
 		want = re.tag | validBit
 	}
-	if got, e := t.tags[ti][i], t.ents[ti][i]; got != want || e.ctr != re.ctr || e.u != re.u {
+	at := t.geom[ti].off + i
+	if got, e := t.tags[at], t.ents[at]; got != want || e.ctr != re.ctr || e.u != re.u {
 		return fmt.Errorf("table %d slot %d: tag %#x ctr %d u %d, reference tag %#x ctr %d u %d",
 			ti, i, got, e.ctr, e.u, want, re.ctr, re.u)
 	}
@@ -275,7 +277,8 @@ func diffEntry(t *Tage, r *refTage, ti int, i uint64) error {
 
 func diffTables(t *Tage, r *refTage) error {
 	for ti, rt := range r.tables {
-		tags, ents := t.tags[ti], t.ents[ti]
+		off := t.geom[ti].off
+		tags, ents := t.tags[off:off+uint64(len(rt))], t.ents[off:off+uint64(len(rt))]
 		for i, re := range rt {
 			want := uint16(0)
 			if re.valid {
@@ -435,7 +438,7 @@ func TestSinglePassMatchesReference(t *testing.T) {
 					continue
 				}
 				for ti := 0; ti < n; ti++ {
-					if err := diffEntry(tg, ref, ti, tg.pidx[ti]); err != nil {
+					if err := diffEntry(tg, ref, ti, tg.pidx[ti]-tg.geom[ti].off); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
 				}

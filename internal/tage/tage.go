@@ -110,6 +110,15 @@ const validBit = 1 << 15
 // uint64 bitmask.
 const maxTables = 64
 
+// tableGeom is one tagged table's probe geometry: where its slots start in
+// the shared tag and counter slabs, and its index and tag masks. Keeping the
+// three together lets the probe loop walk one slice.
+type tableGeom struct {
+	off     uint64 // first slot of the table in Tage.tags and Tage.ents
+	mask    uint64 // Entries − 1
+	tagMask uint64 // 1<<TagBits − 1
+}
+
 // Stats counts predictor activity.
 type Stats struct {
 	Predictions    uint64
@@ -129,21 +138,20 @@ type Stats struct {
 // mechanisms can physically isolate it per context; per-thread speculation
 // history lives in History values created by NewHistory.
 type Tage struct {
-	cfg      Config
-	tags     [][]uint16   // per table: stored tag | validBit, 0 when empty
-	ents     [][]tagEntry // per table: counters, parallel to tags
-	masks    []uint64
-	tagMasks []uint64 // 1<<TagBits - 1 per table, hoisted off the lookup path
-	base     *Bimodal
+	cfg  Config
+	geom []tableGeom // per table: slab offset and index/tag masks
+	tags []uint16    // all tables' slots: stored tag | validBit, 0 when empty
+	ents []tagEntry  // all tables' counters, parallel to tags
+	base *Bimodal
 
 	// idxKeys and tagKeys are the per-table keys XORed into every tagged
 	// access; they alias noKeys when no vector is installed.
 	idxKeys, tagKeys []uint64
 	noKeys           [maxTables]uint64
 
-	// pidx and ptag hold each table's effective (index, tag|validBit) for
-	// the access in flight, computed once by probe and reused by train and
-	// allocate.
+	// pidx and ptag hold each table's effective slot (an absolute index
+	// into tags and ents) and tag|validBit for the access in flight,
+	// computed once by probe and reused by train and allocate.
 	pidx [maxTables]uint64
 	ptag [maxTables]uint16
 
@@ -167,36 +175,37 @@ func New(cfg Config) *Tage {
 		panic("tage: config has more than 64 tagged tables")
 	}
 	t := &Tage{
-		cfg:      cfg,
-		tags:     make([][]uint16, n),
-		ents:     make([][]tagEntry, n),
-		masks:    make([]uint64, n),
-		tagMasks: make([]uint64, n),
-		base:     NewBimodal(cfg.BimodalEntries),
-		rand:     rng.New(cfg.Seed ^ 0x7a6e),
+		cfg:  cfg,
+		geom: make([]tableGeom, n),
+		base: NewBimodal(cfg.BimodalEntries),
+		rand: rng.New(cfg.Seed ^ 0x7a6e),
 	}
 	t.SetKeys(nil, nil)
 	total := 0
-	for _, spec := range cfg.Tables {
+	for i, spec := range cfg.Tables {
 		if spec.Entries <= 0 || spec.Entries&(spec.Entries-1) != 0 {
 			panic("tage: table entries must be a positive power of two")
+		}
+		// The folds pack each table's index, tag and tag−1 widths into
+		// 24-bit lanes that must hold compLen+1 bits (history.go).
+		if bitsFor(spec.Entries) > foldLaneBits-1 {
+			panic("tage: an index wider than 23 bits overflows a fold lane")
 		}
 		if spec.TagBits > 15 {
 			panic("tage: TagBits above 15 leave no room for the valid bit")
 		}
+		if spec.HistLen < 1 || spec.HistLen > math.MaxUint16 {
+			panic("tage: HistLen must be in [1, 65535]")
+		}
+		t.geom[i] = tableGeom{
+			off:     uint64(total),
+			mask:    uint64(spec.Entries - 1),
+			tagMask: 1<<uint(spec.TagBits) - 1,
+		}
 		total += spec.Entries
 	}
-	tags := make([]uint16, total)
-	ents := make([]tagEntry, total)
-	off := 0
-	for i, spec := range cfg.Tables {
-		end := off + spec.Entries
-		t.tags[i] = tags[off:end:end]
-		t.ents[i] = ents[off:end:end]
-		off = end
-		t.masks[i] = uint64(spec.Entries - 1)
-		t.tagMasks[i] = 1<<uint(spec.TagBits) - 1
-	}
+	t.tags = make([]uint16, total)
+	t.ents = make([]tagEntry, total)
 	if cfg.UseSC {
 		t.sc = newStatCorrector(cfg.SCBiasEntries, cfg.SCGEntries)
 	}
@@ -208,22 +217,7 @@ func New(cfg Config) *Tage {
 
 // NewHistory allocates per-thread history state matching this predictor's
 // geometry.
-func (t *Tage) NewHistory() *History {
-	maxLen := 0
-	for _, s := range t.cfg.Tables {
-		if s.HistLen > maxLen {
-			maxLen = s.HistLen
-		}
-	}
-	hs := &History{
-		ghr:   NewHistoryBuffer(maxLen + 64),
-		folds: make([]foldSet, len(t.cfg.Tables)),
-	}
-	for i, s := range t.cfg.Tables {
-		hs.folds[i] = newFoldSet(s.HistLen, bitsFor(s.Entries), s.TagBits)
-	}
-	return hs
-}
+func (t *Tage) NewHistory() *History { return newHistory(t.cfg.Tables) }
 
 func bitsFor(n int) int {
 	b := 0
@@ -241,7 +235,7 @@ func bitsFor(n int) int {
 // The predictor reads the vectors on every access without copying them,
 // so the caller may refill them in place between accesses.
 func (t *Tage) SetKeys(index, tag []uint64) {
-	n := len(t.tags)
+	n := len(t.geom)
 	if index == nil {
 		index = t.noKeys[:n]
 	}
@@ -268,33 +262,43 @@ func (t *Tage) Stats() Stats { return t.stats }
 // ResetStats zeroes statistics.
 func (t *Tage) ResetStats() { t.stats = Stats{} }
 
-// probe computes every tagged table's effective (index, tag) for pc under
+// probe computes every tagged table's effective slot and tag for pc under
 // history hs into pidx/ptag and returns the hit bitmask: bit ti is set when
 // table ti holds a valid entry with that tag. It is one pass with no
-// data-dependent exit; the tag compare feeds the mask arithmetically.
+// data-dependent exit; the tag compare feeds the mask arithmetically. Table
+// ti's index mixes in pc >> (1+ti), kept as a running shift.
 func (t *Tage) probe(pc uint64, hs *History) uint64 {
-	n := len(t.tags)
+	geom := t.geom
+	n := len(geom)
 	folds := hs.folds[:n]
-	tags, masks, tagMasks := t.tags[:n], t.masks[:n], t.tagMasks[:n]
 	ik, tk := t.idxKeys[:n], t.tagKeys[:n]
 	pidx, ptag := t.pidx[:n], t.ptag[:n]
-	pcIdx := (pc >> 1) ^ (hs.path & 0x3F)
+	tags := t.tags
+	pcTag := pc >> 1
+	pcIdx := pcTag ^ (hs.path & 0x3F)
+	pcHist := pcTag
 	var hits uint64
-	for ti := range folds {
-		f := &folds[ti]
-		idx := (pcIdx ^ (pc >> uint(1+ti)) ^ f.idxComp() ^ ik[ti]) & masks[ti]
-		tag := uint16(((pc>>1)^f.tag0Comp()^(f.tag1Comp()<<1)^tk[ti])&tagMasks[ti]) | validBit
-		pidx[ti] = idx
+	for ti := range geom {
+		// The index and tag masks (at most 23 and 15 bits, see New) cut
+		// off the lanes above the one each reads, so the lanes need no
+		// masking of their own.
+		g, p := &geom[ti], folds[ti].packed
+		slot := g.off + (pcIdx^pcHist^p^ik[ti])&g.mask
+		tag := uint16((pcTag^p>>foldLaneBits^p>>(2*foldLaneBits)<<1^tk[ti])&g.tagMask) | validBit
+		pidx[ti] = slot
 		ptag[ti] = tag
 		// miss is 0 exactly on a hit, so miss-1 has its top bit set then.
-		miss := uint64(tags[ti][idx] ^ tag)
-		hits |= (miss - 1) >> 63 << uint(ti)
+		// Hits enter at the top and move down one table per step, so the
+		// loop needs no variable shift.
+		miss := uint64(tags[slot] ^ tag)
+		hits = hits>>1 | (miss-1)&(1<<63)
+		pcHist >>= 1
 	}
-	return hits
+	return hits >> (64 - uint(n))
 }
 
-// entry returns table ti's counters at the in-flight access's index.
-func (t *Tage) entry(ti int) *tagEntry { return &t.ents[ti][t.pidx[ti]] }
+// entry returns table ti's counters at the in-flight access's slot.
+func (t *Tage) entry(ti int) *tagEntry { return &t.ents[t.pidx[ti]] }
 
 // lookupResult is the tagged lookup: the provider (longest matching table)
 // and the alternate prediction.
@@ -457,21 +461,22 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res prediction) {
 // provider, per the TAGE allocation rule: pick among u==0 candidates
 // (randomized start to avoid ping-pong), and on total failure decay the
 // candidates' useful counters. Candidates are the in-flight access's
-// (index, tag) pairs recorded by probe.
+// (slot, tag) pairs recorded by probe.
 func (t *Tage) allocate(taken bool, provider int) {
+	n := len(t.geom)
 	start := provider + 1
-	if start >= len(t.tags) {
+	if start >= n {
 		return
 	}
 	// Random skip of up to 2 tables decorrelates allocation storms.
 	start += t.rand.Intn(3)
-	if start >= len(t.tags) {
-		start = len(t.tags) - 1
+	if start >= n {
+		start = n - 1
 	}
-	for ti := start; ti < len(t.tags); ti++ {
+	for ti := start; ti < n; ti++ {
 		e := t.entry(ti)
 		if e.u == 0 {
-			t.tags[ti][t.pidx[ti]] = t.ptag[ti]
+			t.tags[t.pidx[ti]] = t.ptag[ti]
 			if taken {
 				e.ctr = 0
 			} else {
@@ -481,7 +486,7 @@ func (t *Tage) allocate(taken bool, provider int) {
 			return
 		}
 	}
-	for ti := provider + 1; ti < len(t.tags); ti++ {
+	for ti := provider + 1; ti < n; ti++ {
 		if e := t.entry(ti); e.u > 0 {
 			e.u--
 		}
@@ -493,10 +498,8 @@ func (t *Tage) allocate(taken bool, provider int) {
 // be reclaimed (the paper's predictor uses periodic u reset; graceful
 // halving behaves equivalently at our simulation scales).
 func (t *Tage) ageUseful() {
-	for _, es := range t.ents {
-		for i := range es {
-			es[i].u >>= 1
-		}
+	for i := range t.ents {
+		t.ents[i].u >>= 1
 	}
 }
 
@@ -517,10 +520,8 @@ func satUpdate(c int8, taken bool) int8 {
 // base predictor; HyBP's key change makes tagged state unreachable while
 // the physically isolated base is swapped separately.
 func (t *Tage) FlushTagged() {
-	for ti := range t.tags {
-		clear(t.tags[ti])
-		clear(t.ents[ti])
-	}
+	clear(t.tags)
+	clear(t.ents)
 	if t.sc != nil {
 		t.sc.flush()
 	}
@@ -554,7 +555,7 @@ func (t *Tage) StorageBits() int {
 }
 
 // NumTables returns the number of tagged tables.
-func (t *Tage) NumTables() int { return len(t.tags) }
+func (t *Tage) NumTables() int { return len(t.geom) }
 
 // TableSpecs returns the tagged-table geometry.
 func (t *Tage) TableSpecs() []TableSpec { return t.cfg.Tables }

@@ -8,6 +8,9 @@ import (
 
 func TestHistoryBuffer(t *testing.T) {
 	h := NewHistoryBuffer(8)
+	if h.Size() != 64 {
+		t.Fatalf("Size() = %d, want 64 (one word)", h.Size())
+	}
 	h.Push(true)
 	h.Push(false)
 	h.Push(true) // newest
@@ -21,9 +24,33 @@ func TestHistoryBuffer(t *testing.T) {
 		t.Fatal("wraparound broke ordering")
 	}
 	h.Reset()
-	for i := 0; i < 8; i++ {
+	for i := 0; i < h.Size(); i++ {
 		if h.Bit(i) != 0 {
 			t.Fatal("reset left bits set")
+		}
+	}
+
+	// Every Bit(i) against the pushed sequence, after every push, over
+	// several wraps of a multi-word ring: the newest position crosses the
+	// wrap point on the first push and every Size() pushes after.
+	h = NewHistoryBuffer(100)
+	if h.Size() != 128 {
+		t.Fatalf("Size() = %d, want 128", h.Size())
+	}
+	r := rng.New(17)
+	var pushed []byte
+	for n := 0; n < 3*h.Size()+17; n++ {
+		taken := r.Bool(0.5)
+		h.Push(taken)
+		pushed = append(pushed, b2u(taken))
+		for i := 0; i < h.Size(); i++ {
+			var want byte
+			if i < len(pushed) {
+				want = pushed[len(pushed)-1-i]
+			}
+			if got := h.Bit(i); got != want {
+				t.Fatalf("after %d pushes: Bit(%d) = %d, want %d", n+1, i, got, want)
+			}
 		}
 	}
 }
@@ -32,19 +59,19 @@ func TestFoldedHistoryMatchesRecompute(t *testing.T) {
 	// Property: the incremental fold equals folding the history window
 	// from scratch, for arbitrary outcome streams.
 	const histLen, compLen = 23, 9
-	h := NewHistoryBuffer(histLen + 8)
+	h := newRefRing(histLen + 8)
 	f := newFolded(histLen, compLen)
 	r := rng.New(3)
 	recompute := func() uint32 {
 		var c uint32
 		for i := histLen - 1; i >= 0; i-- {
-			c = (c << 1) | uint32(h.Bit(i))
+			c = (c << 1) | uint32(h.bit(i))
 			c = (c ^ (c >> compLen)) & (1<<compLen - 1)
 		}
 		return c
 	}
 	for step := 0; step < 500; step++ {
-		h.Push(r.Bool(0.5))
+		h.push(r.Bool(0.5))
 		f.update(h)
 		if f.comp != recompute() {
 			t.Fatalf("step %d: incremental fold %#x != recomputed %#x", step, f.comp, recompute())
@@ -56,12 +83,14 @@ func TestFoldSetMatchesFoldedHistory(t *testing.T) {
 	// The lane-packed foldSet must evolve exactly like three independent
 	// reference folds sharing a window, across arbitrary outcome streams
 	// and the paper geometry's extreme widths (compLen 7..11, index width
-	// 10, including the tag-1 lane).
+	// 10, including the tag-1 lane) as well as the widest lanes New
+	// accepts (index 23, tag 15, tag-1 14).
 	for _, g := range []struct{ histLen, idxBits, tagBits int }{
 		{23, 9, 8},
 		{640, 10, 11},
 		{5, 10, 8},
 		{130, 10, 11},
+		{46, 23, 15},
 	} {
 		h := NewHistoryBuffer(g.histLen + 64)
 		fs := newFoldSet(g.histLen, g.idxBits, g.tagBits)
@@ -78,7 +107,7 @@ func TestFoldSetMatchesFoldedHistory(t *testing.T) {
 				newBit = 1
 			}
 			oldBit := uint64(h.Bit(g.histLen))
-			fs.shift(newBit, oldBit)
+			fs.shift(newBit*foldLaneLSB, oldBit)
 			for i := range refs {
 				refs[i].shift(uint32(newBit), uint32(oldBit))
 			}
@@ -89,15 +118,6 @@ func TestFoldSetMatchesFoldedHistory(t *testing.T) {
 					g, step, fs.idxComp(), fs.tag0Comp(), fs.tag1Comp(),
 					refs[0].comp, refs[1].comp, refs[2].comp)
 			}
-		}
-		// reset must agree with the incremental state on a cleared buffer.
-		h.Reset()
-		fs.reset(h)
-		for i := range refs {
-			refs[i].reset(h)
-		}
-		if fs.idxComp() != uint64(refs[0].comp) || fs.tag0Comp() != uint64(refs[1].comp) {
-			t.Fatalf("geom %+v: reset diverged", g)
 		}
 	}
 }
@@ -140,9 +160,19 @@ func TestNewValidation(t *testing.T) {
 	for len(tooMany.Tables) <= maxTables {
 		tooMany.Tables = append(tooMany.Tables, tooMany.Tables[0])
 	}
-	wideTag := SmallConfig(1)
-	wideTag.Tables[2].TagBits = 16
-	for name, cfg := range map[string]Config{"65 tables": tooMany, "16-bit tag": wideTag} {
+	with := func(edit func(s *TableSpec)) Config {
+		cfg := SmallConfig(1)
+		edit(&cfg.Tables[2])
+		return cfg
+	}
+	for name, cfg := range map[string]Config{
+		"65 tables":         tooMany,
+		"16-bit tag":        with(func(s *TableSpec) { s.TagBits = 16 }),
+		"24-bit index":      with(func(s *TableSpec) { s.Entries = 1 << 24 }),
+		"65536-bit history": with(func(s *TableSpec) { s.HistLen = 65536 }),
+		"zero history":      with(func(s *TableSpec) { s.HistLen = 0 }),
+		"negative history":  with(func(s *TableSpec) { s.HistLen = -3 }),
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -152,9 +182,13 @@ func TestNewValidation(t *testing.T) {
 			New(cfg)
 		}()
 	}
-	widest := SmallConfig(1)
-	widest.Tables[0].TagBits = 15
-	New(widest) // the widest tag that leaves room for the valid bit
+	// The limits themselves are accepted: the widest tag that leaves room
+	// for the valid bit, and the longest and shortest windows. (A 23-bit
+	// index is accepted too; TestHistoryMatchesReference covers its lanes
+	// without allocating 8M-entry tables.)
+	New(with(func(s *TableSpec) { s.TagBits = 15 }))
+	New(with(func(s *TableSpec) { s.HistLen = 65535 }))
+	New(with(func(s *TableSpec) { s.HistLen = 1 }))
 }
 
 // runPattern feeds branches to a predictor and returns its accuracy over
